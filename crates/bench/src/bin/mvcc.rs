@@ -20,18 +20,26 @@
 //!   PR-4 numbers if it slows the serial path.
 //! - `mvcc/chain/...` version-chain and GC statistics from a direct
 //!   [`Database`] workload holding snapshots across update storms.
+//! - `mvcc/write_cliff/{hot,spread}/rows{N}/update_under_snapshot` for
+//!   N ∈ {1k, 10k, 100k}: a direct base-table UPDATE (one secondary
+//!   index) with a snapshot re-taken after every write. Path-copying row
+//!   and index maps make such a write copy O(log N) nodes, so the cost
+//!   must stay flat in the table size (see `write_cliff`).
 //!
 //! Run with: `cargo run --release -p maxoid-bench --bin mvcc`
 //! Writes `BENCH_mvcc.json`; exits non-zero when multi-reader
 //! throughput falls below the core-aware floor (on ≥2 cores a 4-reader
 //! storm must at least match one reader; on a single core it must stay
 //! within 0.9× — snapshot reads don't contend, so even interleaved they
-//! should not cost more than a lone reader).
+//! should not cost more than a lone reader), or when the 100k-row `hot`
+//! write-cliff median exceeds 2× the 1k-row one.
 
 use maxoid::manifest::MaxoidManifest;
 use maxoid::{ContentValues, MaxoidSystem, Pid, QueryArgs, Uri};
 use maxoid_bench::{measure, BenchJson, DictMode, DictWorkload, Unit};
-use maxoid_sqldb::Database;
+use maxoid_sqldb::{Database, ReadSnapshot};
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
@@ -42,6 +50,10 @@ const ITERS: usize = 20_000;
 /// Repetitions per reader count; the best rep is reported.
 const REPS: usize = 3;
 const DICT_ROWS: usize = 1000;
+/// Table sizes of the write-cliff sweep.
+const CLIFF_ROWS: [usize; 3] = [1_000, 10_000, 100_000];
+/// Timed updates per write-cliff repetition (best of [`REPS`] medians).
+const CLIFF_TRIALS: usize = 2_000;
 
 fn words_uri() -> Uri {
     Uri::parse("content://user_dictionary/words").expect("uri")
@@ -195,6 +207,89 @@ fn chain_stats(json: &mut BenchJson) {
     assert!(s.max_chain <= 4 + 2, "version chains grew unbounded: {}", s.max_chain);
 }
 
+/// Rows a write-cliff cell cycles through, spaced evenly over the table.
+const CLIFF_HOT_ROWS: usize = 64;
+
+/// The MVCC write cliff: a base-table UPDATE that changes an indexed
+/// column, timed with a snapshot re-taken (untimed) after every write so
+/// each write runs under a live snapshot sharing the whole table.
+///
+/// Two row choices per table size. `hot` cycles through the same
+/// [`CLIFF_HOT_ROWS`] rows spread evenly over the table: the working set
+/// is equal at every size, so the 1k/100k ratio isolates how the copy
+/// itself scales (O(n) before path copying: 77 us at 1k, 45 ms at 100k
+/// on the 2-core box). `spread` picks rows across the whole table, so at
+/// 100k every write also misses cache on the rows and index it walks —
+/// a memory-hierarchy cost any ordered map pays (std's `BTreeMap` index
+/// without snapshots: 4.0 us at 1k, 7.4 us at 100k); it is reported, not
+/// gated. Returns the `hot` medians per table size, in us.
+fn write_cliff(json: &mut BenchJson) -> Vec<f64> {
+    println!("\nWrite under a live snapshot (UPDATE of an indexed column, direct sqldb):");
+    let mut hot_medians = Vec::new();
+    for &rows in &CLIFF_ROWS {
+        for hot in [true, false] {
+            let mut db = Database::new();
+            db.execute_batch(
+                "CREATE TABLE t (_id INTEGER PRIMARY KEY, data TEXT);
+                 CREATE INDEX t_data ON t (data);",
+            )
+            .expect("ddl");
+            for i in 0..rows {
+                db.execute("INSERT INTO t (data) VALUES (?1)", &[format!("w{i}").into()])
+                    .expect("seed");
+            }
+            let state: Rc<RefCell<(Database, Option<ReadSnapshot>, usize)>> =
+                Rc::new(RefCell::new((db, None, 0)));
+            // Best of REPS medians, as for reader scaling: load from
+            // outside the process only ever adds time.
+            let m = (0..REPS)
+                .map(|_| {
+                    let state = state.clone();
+                    measure(
+                        CLIFF_TRIALS,
+                        {
+                            let state = state.clone();
+                            move || {
+                                let (db, snap, _) = &mut *state.borrow_mut();
+                                *snap = Some(db.begin_read().expect("snapshot"));
+                            }
+                        },
+                        move || {
+                            let (db, _, i) = &mut *state.borrow_mut();
+                            *i += 1;
+                            let id = if hot {
+                                (*i % CLIFF_HOT_ROWS) * (rows / CLIFF_HOT_ROWS) + 1
+                            } else {
+                                *i * 7919 % rows + 1
+                            };
+                            db.execute(
+                                "UPDATE t SET data = ?1 WHERE _id = ?2",
+                                &[format!("u{i}").into(), (id as i64).into()],
+                            )
+                            .expect("update");
+                        },
+                    )
+                })
+                .min_by(|a, b| a.median_ns().total_cmp(&b.median_ns()))
+                .expect("REPS > 0");
+            let label = if hot { "hot" } else { "spread" };
+            json.push(&format!("mvcc/write_cliff/{label}/rows{rows}/update_under_snapshot"), &m);
+            println!(
+                "  {rows:>7} rows, {label:<6}: median {:>8.2} us | p95 {:>8.2} us",
+                m.median_us(),
+                m.p95_us()
+            );
+            if hot {
+                hot_medians.push(m.median_us());
+            }
+        }
+    }
+    let ratio = hot_medians[2] / hot_medians[0];
+    json.push_scalar("mvcc/write_cliff/hot/ratio_100k_1k", ratio);
+    println!("  hot 100k/1k median ratio {ratio:.2}x (gate: <= 2x)");
+    hot_medians
+}
+
 fn main() {
     let cores = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
     let mut json = BenchJson::new();
@@ -211,7 +306,7 @@ fn main() {
         dict.update();
     }
     let mut k = 0usize;
-    let dictq = std::rc::Rc::new(std::cell::RefCell::new(dict));
+    let dictq = Rc::new(RefCell::new(dict));
     let q = measure(
         200,
         {
@@ -233,7 +328,7 @@ fn main() {
     for _ in 0..50 {
         dict.update();
     }
-    let dictu = std::rc::Rc::new(std::cell::RefCell::new(dict));
+    let dictu = Rc::new(RefCell::new(dict));
     let u = measure(
         200,
         {
@@ -270,10 +365,15 @@ fn main() {
     }
 
     let contended = (0..REPS).map(|_| run_contended()).fold(0.0f64, f64::max);
-    json.push_scalar_unit("mvcc/contended/readers4_writer1/ops_per_sec", contended, Unit::OpsPerSec);
+    json.push_scalar_unit(
+        "mvcc/contended/readers4_writer1/ops_per_sec",
+        contended,
+        Unit::OpsPerSec,
+    );
     println!("  4 readers + 1 writer: {contended:>12.0} q/s (reader aggregate)\n");
 
     chain_stats(&mut json);
+    let cliff = write_cliff(&mut json);
 
     json.write("BENCH_mvcc.json").expect("write BENCH_mvcc.json");
     println!("\n(wrote BENCH_mvcc.json)");
@@ -282,6 +382,7 @@ fn main() {
     // hardware a 4-reader storm must at least match one reader. A
     // single core can only interleave, but since there is no contention
     // to pay the aggregate must stay within 0.9x of the lone reader.
+    let mut failed = false;
     let (one, four) = (ops_per_sec[0], ops_per_sec[2]);
     let floor = if cores >= 2 { one } else { one * 0.9 };
     if four < floor {
@@ -289,6 +390,18 @@ fn main() {
             "FAIL: 4-reader throughput {four:.0} q/s below floor {floor:.0} q/s \
              (1-reader {one:.0}, {cores} core(s))"
         );
+        failed = true;
+    }
+    // Write-cliff gate: a write under a live snapshot must not scale
+    // with the table.
+    if cliff[2] > 2.0 * cliff[0] {
+        eprintln!(
+            "FAIL: 100k-row hot write under a snapshot {:.2} us exceeds 2x the 1k-row {:.2} us",
+            cliff[2], cliff[0]
+        );
+        failed = true;
+    }
+    if failed {
         std::process::exit(1);
     }
 }

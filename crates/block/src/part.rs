@@ -134,7 +134,7 @@ impl PartitionTable {
         let mut dev = dev;
         let ss = dev.sector_size();
         assert!(
-            ss >= HEADER_LEN && ss >= 2 * ENTRY_LEN,
+            ss >= HEADER_LEN.max(2 * ENTRY_LEN),
             "partitioned devices need sectors of at least 16 bytes"
         );
         assert!(chunk_sectors > 0 && dir_sectors > 0);

@@ -1108,18 +1108,19 @@ impl MaxoidSystem {
         if min_idle_ticks <= SWEEP_RETAIN_TICKS {
             let known: std::collections::BTreeSet<String> =
                 self.init_locks.lock().keys().cloned().collect();
-            let owners = self.kernel.vfs().with_store(|s| -> maxoid_vfs::VfsResult<Vec<String>> {
-                let mut out = Vec::new();
-                let tmp_root = maxoid_vfs::vpath("/backing/internal_tmp");
-                if s.exists(&tmp_root) {
-                    for e in s.read_dir(&tmp_root)? {
-                        out.push(e.name);
+            let owners =
+                self.kernel.vfs().with_store(|s| -> maxoid_vfs::VfsResult<Vec<String>> {
+                    let mut out = Vec::new();
+                    let tmp_root = maxoid_vfs::vpath("/backing/internal_tmp");
+                    if s.exists(&tmp_root) {
+                        for e in s.read_dir(&tmp_root)? {
+                            out.push(e.name);
+                        }
                     }
-                }
-                out.sort_unstable();
-                out.dedup();
-                Ok(out)
-            })?;
+                    out.sort_unstable();
+                    out.dedup();
+                    Ok(out)
+                })?;
             for init in owners {
                 if !known.contains(&init) && !self.volatile.list(&init)?.is_empty() {
                     candidates.push((init, None));

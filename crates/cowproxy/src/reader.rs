@@ -32,7 +32,10 @@
 //! statements, a [`NameInterner`], a rewrite cache) lives in a
 //! `thread_local!` registry keyed by slot id, so repeated reads on one
 //! thread reuse plans across snapshot retargets and share nothing across
-//! threads.
+//! threads. Each entry holds only a `Weak` on its slot; entries whose
+//! slot is gone are pruned whenever a new slot id is registered, so a
+//! long-lived thread that reads many short-lived proxies in turn does
+//! not pin each one's last snapshot.
 
 use crate::names::NameInterner;
 use crate::proxy::{cached_query, DbView, QueryOpts};
@@ -42,7 +45,7 @@ use parking_lot::RwLock;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// Slot ids are process-unique so thread-local readers never mix
 /// snapshots of different logical databases.
@@ -78,6 +81,8 @@ const _: fn() = || {
 
 /// One thread's cached machinery for reading a particular slot.
 struct CowReader {
+    /// Liveness of the slot this entry serves; dead entries are pruned.
+    slot: Weak<RwLock<Option<CowPublished>>>,
     reader: SnapshotReader,
     names: NameInterner,
     rewrite: RewriteCache,
@@ -165,12 +170,23 @@ impl ReadSlot {
         let published = self.slot.read().clone()?;
         READERS.with(|cell| {
             let mut map = cell.borrow_mut();
-            let r = map.entry(self.id).or_insert_with(|| CowReader {
-                reader: SnapshotReader::new(),
-                names: NameInterner::default(),
-                rewrite: RewriteCache::default(),
-                fork_epoch: published.fork_epoch,
-            });
+            if !map.contains_key(&self.id) {
+                // Readers of dropped slots would otherwise keep their last
+                // snapshot (and every table it froze) alive for the
+                // thread's lifetime.
+                map.retain(|_, r| r.slot.strong_count() > 0);
+                map.insert(
+                    self.id,
+                    CowReader {
+                        slot: Arc::downgrade(&self.slot),
+                        reader: SnapshotReader::new(),
+                        names: NameInterner::default(),
+                        rewrite: RewriteCache::default(),
+                        fork_epoch: published.fork_epoch,
+                    },
+                );
+            }
+            let r = map.get_mut(&self.id).expect("just inserted");
             if r.fork_epoch != published.fork_epoch {
                 // COW topology changed since this thread last read the
                 // slot: cached rewrites may target dropped relations.
@@ -194,8 +210,10 @@ mod tests {
 
     fn seeded() -> CowProxy {
         let mut p = CowProxy::new();
-        p.execute_batch("CREATE TABLE words (_id INTEGER PRIMARY KEY, word TEXT, frequency INTEGER);")
-            .unwrap();
+        p.execute_batch(
+            "CREATE TABLE words (_id INTEGER PRIMARY KEY, word TEXT, frequency INTEGER);",
+        )
+        .unwrap();
         for (w, f) in [("alpha", 10), ("beta", 20), ("gamma", 30)] {
             p.insert(&DbView::Primary, "words", &[("word", w.into()), ("frequency", f.into())])
                 .unwrap();
@@ -228,10 +246,8 @@ mod tests {
         assert!(!slot.is_published(), "a write must retract the published snapshot");
         assert!(slot.try_query(&DbView::Primary, "words", &QueryOpts::default(), &[]).is_none());
         p.publish_read();
-        let rs = slot
-            .try_query(&DbView::Primary, "words", &QueryOpts::default(), &[])
-            .unwrap()
-            .unwrap();
+        let rs =
+            slot.try_query(&DbView::Primary, "words", &QueryOpts::default(), &[]).unwrap().unwrap();
         assert_eq!(rs.rows.len(), 4);
     }
 
@@ -274,7 +290,12 @@ mod tests {
         assert_eq!(rs.rows, vec![vec![Value::Text("alpha".into())]]);
         // Volatile view sees the delta row, whiteouts excluded.
         let rs = slot
-            .try_query(&DbView::Volatile { initiator: "A".into() }, "words", &QueryOpts::default(), &[])
+            .try_query(
+                &DbView::Volatile { initiator: "A".into() },
+                "words",
+                &QueryOpts::default(),
+                &[],
+            )
             .unwrap()
             .unwrap();
         assert_eq!(rs.rows.len(), 1);
@@ -336,6 +357,42 @@ mod tests {
     }
 
     #[test]
+    fn readers_of_dropped_proxies_are_pruned() {
+        // One long-lived thread reads ~100 short-lived proxies in turn.
+        // Each thread-local reader owns the snapshot it last bound, so an
+        // entry that outlives its proxy pins that proxy's whole frozen
+        // database.
+        std::thread::spawn(|| {
+            for _ in 0..100 {
+                let mut p = seeded();
+                p.publish_read();
+                let rs = p
+                    .read_slot()
+                    .try_query(&DbView::Primary, "words", &QueryOpts::default(), &[])
+                    .expect("published")
+                    .unwrap();
+                assert_eq!(rs.rows.len(), 3);
+            }
+            READERS.with(|cell| {
+                let map = cell.borrow();
+                assert_eq!(map.len(), 1, "only the newest proxy's reader may survive");
+                assert_eq!(map.values().filter(|r| r.slot.strong_count() == 0).count(), 1);
+            });
+            // Registering a reader for a live slot drops the dead entry.
+            let mut p = seeded();
+            p.publish_read();
+            p.read_slot().try_query(&DbView::Primary, "words", &QueryOpts::default(), &[]);
+            READERS.with(|cell| {
+                let map = cell.borrow();
+                assert_eq!(map.len(), 1);
+                assert!(map.values().all(|r| r.slot.strong_count() > 0));
+            });
+        })
+        .join()
+        .unwrap();
+    }
+
+    #[test]
     fn fork_epoch_change_invalidates_thread_local_rewrites() {
         let mut p = seeded();
         let delegate = DbView::Delegate { initiator: "A".into() };
@@ -343,16 +400,14 @@ mod tests {
         let slot = p.read_slot();
         // Warm the thread-local cache: delegate read before any fork
         // resolves to the primary table.
-        let rs =
-            slot.try_query(&delegate, "words", &QueryOpts::default(), &[]).unwrap().unwrap();
+        let rs = slot.try_query(&delegate, "words", &QueryOpts::default(), &[]).unwrap().unwrap();
         assert_eq!(rs.rows.len(), 3);
         // Fork: the delegate deletes a row (whiteout). The epoch bump must
         // reach the thread-local cache or the stale rewrite would keep
         // reading the primary table.
         p.delete(&delegate, "words", Some("_id = 1"), &[]).unwrap();
         p.publish_read();
-        let rs =
-            slot.try_query(&delegate, "words", &QueryOpts::default(), &[]).unwrap().unwrap();
+        let rs = slot.try_query(&delegate, "words", &QueryOpts::default(), &[]).unwrap().unwrap();
         assert_eq!(rs.rows.len(), 2, "post-fork snapshot read must see the whiteout");
     }
 }

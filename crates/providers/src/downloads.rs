@@ -18,7 +18,9 @@ use crate::provider::{
     Caller, ContentProvider, ContentValues, ProviderError, ProviderResult, QueryArgs, ReadHandle,
 };
 use crate::uri::Uri;
-use maxoid_cowproxy::{CowProxy, DbView, QueryOpts, ReadSlot, ADMIN_INITIATOR_COL, ADMIN_STATE_COL};
+use maxoid_cowproxy::{
+    CowProxy, DbView, QueryOpts, ReadSlot, ADMIN_INITIATOR_COL, ADMIN_STATE_COL,
+};
 use maxoid_kernel::{Kernel, Pid};
 use maxoid_sqldb::{ResultSet, Value};
 use maxoid_vfs::VPath;

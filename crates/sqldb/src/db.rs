@@ -7,21 +7,12 @@ use crate::mvcc::{DbSnapshot, MvccShared, MvccStats, ReadSnapshot};
 use crate::parser::{parse_statement, parse_statements};
 use crate::plancache::{PlanCache, SelectLookup};
 use crate::planner::{plan_access, try_flatten, AccessPlan, FlattenPolicy};
+use crate::pmap::PMap;
 use crate::table::Table;
 use crate::value::Value;
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
-
-/// Memoized `Arc`'d catalog clones keyed by catalog generation, so
-/// repeated snapshot publications between DDL statements share one copy
-/// of the view/trigger definitions. The maps hold `Arc`'d definitions,
-/// so even the rebuild after a generation bump is refcount bumps plus
-/// key clones — at fleet scale the system database carries thousands of
-/// per-tenant COW views/triggers, and a deep catalog clone per fork was
-/// the dominant cost of snapshot publication.
-type CatalogMemo =
-    (u64, Arc<BTreeMap<String, Arc<ViewDef>>>, Arc<BTreeMap<String, Arc<TriggerDef>>>);
 
 /// Memoized `(view, event) -> trigger name` index keyed by catalog
 /// generation, replacing the O(#triggers) linear scan in
@@ -238,8 +229,13 @@ pub(crate) const MAX_DEPTH: usize = 32;
 #[derive(Debug, Default)]
 pub struct Database {
     pub(crate) tables: BTreeMap<String, Table>,
-    pub(crate) views: BTreeMap<String, Arc<ViewDef>>,
-    pub(crate) triggers: BTreeMap<String, Arc<TriggerDef>>,
+    /// View catalog. Shared by `Arc` with transaction snapshots,
+    /// published read snapshots and snapshot readers; DDL copies it on
+    /// write (`Arc::make_mut`), so a publication or a reader retarget
+    /// never clones it.
+    pub(crate) views: Arc<BTreeMap<String, Arc<ViewDef>>>,
+    /// Trigger catalog, shared the same way as `views`.
+    pub(crate) triggers: Arc<BTreeMap<String, Arc<TriggerDef>>>,
     /// Planner policy for UNION ALL view flattening.
     pub flatten_policy: FlattenPolicy,
     /// Execution counters.
@@ -275,22 +271,20 @@ pub struct Database {
     /// reader-heavy workloads pay the freeze cost once per write, not
     /// once per read.
     published: RefCell<Option<Arc<DbSnapshot>>>,
-    /// See [`CatalogMemo`].
-    catalog_memo: RefCell<Option<CatalogMemo>>,
     /// See [`TriggerMemo`].
     trigger_memo: RefCell<Option<TriggerMemo>>,
     /// The frozen tables of the last publication, keyed by table name
-    /// and shared (`Arc`) with the snapshots handed out. `begin_read`
-    /// patches this map in place (`Arc::make_mut`, so a still-live
-    /// older snapshot degrades to one O(#tables) map clone rather than
-    /// corruption), re-freezing only tables whose version tag changed —
+    /// and shared with the snapshots handed out: a persistent map, so
+    /// patching it while older snapshots still hold its root copies one
+    /// path. `begin_read` re-freezes only tables whose version tag
+    /// changed —
     /// publication is O(tables touched since the last publication)
     /// instead of O(all tables), the difference between µs and ms once
     /// a fleet-scale database holds thousands of per-tenant delta
     /// tables. Mutation paths evict their table's entry eagerly
     /// ([`Database::table_mut`]) so the cache never pins dead row
     /// versions against the refcount-driven chain trim.
-    frozen_cache: RefCell<Arc<BTreeMap<String, Arc<Table>>>>,
+    frozen_cache: RefCell<PMap<String, Arc<Table>>>,
     /// Names evicted from `frozen_cache` since the last publication —
     /// exactly the tables `begin_read` must re-freeze. `None` means the
     /// cache cannot be trusted incrementally (initial state, rollback,
@@ -324,8 +318,8 @@ const _: fn() = || {
 #[derive(Debug)]
 pub(crate) struct TxSnapshot {
     tables: BTreeMap<String, Table>,
-    views: BTreeMap<String, Arc<ViewDef>>,
-    triggers: BTreeMap<String, Arc<TriggerDef>>,
+    views: Arc<BTreeMap<String, Arc<ViewDef>>>,
+    triggers: Arc<BTreeMap<String, Arc<TriggerDef>>>,
 }
 
 /// Point-in-time copy of the [`Stats`] counters, taken before a statement
@@ -685,7 +679,6 @@ impl Database {
                 // Re-freeze exactly the tables mutated since the last
                 // publication; everything else keeps its frozen copy.
                 if !dirty.is_empty() {
-                    let map = Arc::make_mut(&mut *cache);
                     loop {
                         let name = match dirty.iter().next() {
                             Some(n) => n.clone(),
@@ -695,10 +688,10 @@ impl Database {
                         match self.tables.get(&name) {
                             Some(t) => {
                                 let frozen = Arc::new(t.freeze()?);
-                                map.insert(name, frozen);
+                                cache.insert(name, frozen);
                             }
                             None => {
-                                map.remove(&name);
+                                cache.remove(&name);
                             }
                         }
                     }
@@ -720,7 +713,7 @@ impl Database {
                 }
             }
             if !incremental {
-                let mut map = BTreeMap::new();
+                let mut map = PMap::new();
                 for (name, t) in &self.tables {
                     let frozen = match cache.get(name) {
                         Some(f) if f.version_tag() == t.version_tag() && !t.is_paged() => {
@@ -730,31 +723,18 @@ impl Database {
                     };
                     map.insert(name.clone(), frozen);
                 }
-                *cache = Arc::new(map);
+                *cache = map;
                 *dirty_opt = Some(std::collections::BTreeSet::new());
             }
-            Arc::clone(&*cache)
-        };
-        let gen = self.catalog_generation();
-        let (views, triggers) = {
-            let mut memo = self.catalog_memo.borrow_mut();
-            match memo.as_ref() {
-                Some((g, v, t)) if *g == gen => (Arc::clone(v), Arc::clone(t)),
-                _ => {
-                    let v = Arc::new(self.views.clone());
-                    let t = Arc::new(self.triggers.clone());
-                    *memo = Some((gen, Arc::clone(&v), Arc::clone(&t)));
-                    (v, t)
-                }
-            }
+            cache.clone()
         };
         let snap = Arc::new(DbSnapshot::new(
             stamp,
-            gen,
+            self.catalog_generation(),
             self.flatten_policy,
             tables,
-            views,
-            triggers,
+            Arc::clone(&self.views),
+            Arc::clone(&self.triggers),
             self.mvcc.register(stamp),
         ));
         self.mvcc.note_published();
@@ -770,16 +750,16 @@ impl Database {
     }
 
     /// Re-points this (reader-private) database at a published snapshot.
-    /// O(1) for table data — the snapshot is bound, not copied, and
-    /// read-path lookups resolve through it (see `Database::bound`).
-    /// Catalog re-clone plus plan-cache invalidation happen only when
-    /// the snapshot's catalog generation changed.
+    /// O(1): the snapshot is bound, not copied, read-path lookups resolve
+    /// through it (see `Database::bound`), and the catalog is shared by
+    /// `Arc`. Plan-cache invalidation happens only when the snapshot's
+    /// catalog generation changed.
     pub(crate) fn retarget(&mut self, snap: &Arc<DbSnapshot>, catalog_changed: bool) {
         self.bound = Some(Arc::clone(snap));
         self.flatten_policy = snap.flatten_policy;
+        self.views = Arc::clone(&snap.views);
+        self.triggers = Arc::clone(&snap.triggers);
         if catalog_changed {
-            self.views = (*snap.views).clone();
-            self.triggers = (*snap.triggers).clone();
             self.bump_catalog_generation();
         }
     }
@@ -818,8 +798,8 @@ impl Database {
         }
         self.tx_snapshot = Some(TxSnapshot {
             tables: self.tables.clone(),
-            views: self.views.clone(),
-            triggers: self.triggers.clone(),
+            views: Arc::clone(&self.views),
+            triggers: Arc::clone(&self.triggers),
         });
         if let Some(j) = &self.journal {
             self.journal_txn = Some(j.begin_txn());
@@ -849,7 +829,7 @@ impl Database {
                 // for different (post-BEGIN) content only in the absence
                 // of mutation; drop everything rather than reason about
                 // it — rollback is rare and a full re-freeze is cheap.
-                *self.frozen_cache.borrow_mut() = Arc::new(BTreeMap::new());
+                self.frozen_cache.borrow_mut().clear();
                 *self.frozen_dirty.borrow_mut() = None;
                 // The restored catalog may differ from the one cached
                 // plans were computed against.
@@ -923,10 +903,7 @@ impl Database {
     /// [`Database::table_mut`]); for DDL paths that bypass `table_mut`.
     pub(crate) fn uncache_frozen(&self, name: &str) {
         let k = key(name);
-        let mut cache = self.frozen_cache.borrow_mut();
-        if cache.contains_key(&k) {
-            Arc::make_mut(&mut *cache).remove(&k);
-        }
+        self.frozen_cache.borrow_mut().remove(&k);
         if let Some(dirty) = self.frozen_dirty.borrow_mut().as_mut() {
             dirty.insert(k);
         }
@@ -939,7 +916,7 @@ impl Database {
     /// paged in the previous run.
     pub fn attach_heap(&mut self, tier: crate::heap::HeapTier, threshold: usize) {
         self.note_mutation();
-        *self.frozen_cache.borrow_mut() = Arc::new(BTreeMap::new());
+        self.frozen_cache.borrow_mut().clear();
         *self.frozen_dirty.borrow_mut() = None;
         let cfg = crate::heap::HeapCfg { tier, threshold };
         for t in self.tables.values_mut() {
@@ -966,7 +943,7 @@ impl Database {
             let mut memo = self.trigger_memo.borrow_mut();
             if !matches!(memo.as_ref(), Some((g, _)) if *g == gen) {
                 let mut ix = BTreeMap::new();
-                for (name, t) in &self.triggers {
+                for (name, t) in self.triggers.iter() {
                     // entry(): first trigger in name order wins, matching
                     // the previous linear scan.
                     ix.entry((t.on.clone(), t.event)).or_insert_with(|| name.clone());

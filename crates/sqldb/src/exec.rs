@@ -49,7 +49,7 @@ pub fn exec_stmt(
                 return Err(SqlError::AlreadyExists(name.clone()));
             }
             let columns = view_output_columns(db, select)?;
-            db.views.insert(
+            Arc::make_mut(&mut db.views).insert(
                 key(name),
                 Arc::new(ViewDef { name: name.clone(), select: select.clone(), columns }),
             );
@@ -68,7 +68,7 @@ pub fn exec_stmt(
                     "INSTEAD OF trigger requires a view, {on} is not one"
                 )));
             }
-            db.triggers.insert(
+            Arc::make_mut(&mut db.triggers).insert(
                 key(name),
                 Arc::new(TriggerDef {
                     name: name.clone(),
@@ -98,8 +98,7 @@ pub fn exec_stmt(
         Stmt::DropIndex { name, if_exists } => {
             // Resolve the owning table first so the drop goes through
             // `table_mut` (snapshot retraction + frozen-cache eviction).
-            let owner =
-                db.tables.iter().find(|(_, t)| t.has_index(name)).map(|(n, _)| n.clone());
+            let owner = db.tables.iter().find(|(_, t)| t.has_index(name)).map(|(n, _)| n.clone());
             if let Some(owner) = owner {
                 db.table_mut(&owner)?.drop_index(name);
                 db.bump_catalog_generation();
@@ -122,23 +121,27 @@ pub fn exec_stmt(
             Ok(ExecOutcome::ddl())
         }
         Stmt::DropView { name, if_exists } => {
-            if db.views.remove(&key(name)).is_none() {
+            if !db.views.contains_key(&key(name)) {
                 if !*if_exists {
                     return Err(SqlError::NoSuchTable(name.clone()));
                 }
             } else {
+                Arc::make_mut(&mut db.views).remove(&key(name));
                 db.bump_catalog_generation();
             }
             // Triggers on the view are dropped with it, like SQLite.
-            db.triggers.retain(|_, t| t.on != key(name));
+            if db.triggers.values().any(|t| t.on == key(name)) {
+                Arc::make_mut(&mut db.triggers).retain(|_, t| t.on != key(name));
+            }
             Ok(ExecOutcome::ddl())
         }
         Stmt::DropTrigger { name, if_exists } => {
-            if db.triggers.remove(&key(name)).is_none() {
+            if !db.triggers.contains_key(&key(name)) {
                 if !*if_exists {
                     return Err(SqlError::NoSuchTrigger(name.clone()));
                 }
             } else {
+                Arc::make_mut(&mut db.triggers).remove(&key(name));
                 db.bump_catalog_generation();
             }
             Ok(ExecOutcome::ddl())

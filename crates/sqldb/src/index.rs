@@ -13,9 +13,10 @@
 
 use crate::error::{SqlError, SqlResult};
 use crate::expr::OrdValue;
+use crate::pmap::PMap;
 use crate::value::Value;
-use std::collections::BTreeMap;
 use std::ops::Bound;
+use std::sync::Arc;
 
 /// A small set of rowids, inline for the common unique-ish case.
 ///
@@ -122,18 +123,20 @@ impl RowIdSet {
 /// modulo NULL keys, which are stored (they must survive round trips
 /// through UPDATE) but never returned by probes, mirroring SQL's
 /// `NULL = NULL` being unknown.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct SecondaryIndex {
     name: String,
     column: usize,
     unique: bool,
-    map: BTreeMap<OrdValue, RowIdSet>,
+    /// Keys are `Arc`'d so copying a node out of a shared snapshot (and
+    /// freeing it later) bumps refcounts instead of cloning strings.
+    map: PMap<Arc<OrdValue>, RowIdSet>,
 }
 
 impl SecondaryIndex {
     /// Creates an empty index over the column at position `column`.
     pub fn new(name: &str, column: usize, unique: bool) -> SecondaryIndex {
-        SecondaryIndex { name: name.to_string(), column, unique, map: BTreeMap::new() }
+        SecondaryIndex { name: name.to_string(), column, unique, map: PMap::new() }
     }
 
     /// Index name (as created, case preserved).
@@ -178,19 +181,17 @@ impl SecondaryIndex {
 
     /// Records `rowid` under the row's indexed value.
     pub fn insert_entry(&mut self, row: &[Value], rowid: i64) {
-        let key = OrdValue(row[self.column].clone());
-        self.map.entry(key).or_default().insert(rowid);
+        let key = Arc::new(OrdValue(row[self.column].clone()));
+        self.map.upsert(key, |set| set.insert(rowid));
     }
 
     /// Forgets `rowid` under the row's indexed value.
     pub fn remove_entry(&mut self, row: &[Value], rowid: i64) {
         let key = OrdValue(row[self.column].clone());
-        if let Some(set) = self.map.get_mut(&key) {
+        self.map.update_or_remove(&key, |set| {
             set.remove(rowid);
-            if set.is_empty() {
-                self.map.remove(&key);
-            }
-        }
+            !set.is_empty()
+        });
     }
 
     /// Rowids whose indexed value equals `value` (by the evaluator's
@@ -217,36 +218,22 @@ impl SecondaryIndex {
             Bound::Unbounded => Bound::Excluded(OrdValue(Value::Null)),
             Bound::Included(v) => Bound::Included(OrdValue(v.clone())),
             Bound::Excluded(v) => Bound::Excluded(OrdValue(v.clone())),
-        };
+        }
+        .map(Arc::new);
         let hi = match upper {
             Bound::Unbounded => Bound::Unbounded,
             Bound::Included(v) => Bound::Included(OrdValue(v.clone())),
             Bound::Excluded(v) => Bound::Excluded(OrdValue(v.clone())),
-        };
-        // A degenerate range (lo > hi) would panic in BTreeMap::range.
-        if range_is_empty(&lo, &hi) {
-            return Vec::new();
         }
+        .map(Arc::new);
         let mut ids: Vec<i64> = self
             .map
-            .range((lo, hi))
+            .range(lo.as_ref(), hi.as_ref())
             .filter(|(k, _)| !matches!(k.0, Value::Null))
             .flat_map(|(_, set)| set.iter())
             .collect();
         ids.sort_unstable();
         ids
-    }
-}
-
-/// True when `(lo, hi)` describes an empty interval that `BTreeMap::range`
-/// would panic on.
-fn range_is_empty(lo: &Bound<OrdValue>, hi: &Bound<OrdValue>) -> bool {
-    use Bound::*;
-    match (lo, hi) {
-        (Included(a), Included(b)) => a > b,
-        (Included(a), Excluded(b)) | (Excluded(a), Included(b)) => a >= b,
-        (Excluded(a), Excluded(b)) => a >= b,
-        _ => false,
     }
 }
 

@@ -10,8 +10,9 @@
 //!
 //! Highlights:
 //!
-//! - Tables keyed by an integer primary key (a `BTreeMap` doubling as the
-//!   pk index), with configurable auto-assignment offsets for the proxy's
+//! - Tables keyed by an integer primary key (a persistent ordered map
+//!   doubling as the pk index, shared with MVCC snapshots by path
+//!   copying), with configurable auto-assignment offsets for the proxy's
 //!   delta tables.
 //! - Three-valued logic, `LIKE`, `BETWEEN`, `IN` (lists and cached
 //!   uncorrelated subqueries), scalar and aggregate functions.
@@ -51,6 +52,7 @@ pub mod mvcc;
 pub mod parser;
 pub(crate) mod plancache;
 pub mod planner;
+pub mod pmap;
 pub mod table;
 pub mod value;
 
@@ -62,8 +64,9 @@ pub use db::{
 pub use error::{SqlError, SqlResult};
 pub use expr::{like_match, MemberSet, OrdValue, RowScope, TriggerCtx};
 pub use heap::{HeapCfg, HeapTier};
-pub use mvcc::{MvccStats, ReadSnapshot, SnapshotReader};
 pub use index::{RowIdSet, SecondaryIndex};
+pub use mvcc::{MvccStats, ReadSnapshot, SnapshotReader};
 pub use planner::{AccessPath, AccessPlan, FlattenPolicy, PlanChoice};
+pub use pmap::PMap;
 pub use table::{Table, TableSchema};
 pub use value::Value;

@@ -4,18 +4,23 @@
 //! The design exploits one structural fact: a [`Database`] is only ever
 //! mutated by its single owner (the write-lock holder), and snapshots are
 //! published exclusively at *committed, quiescent* points. A snapshot is
-//! therefore a shallow freeze — every table's rowid map is an
-//! `Arc<BTreeMap<_, Arc<VerNode>>>`, so freezing clones a handful of
-//! `Arc`s, and a frozen map's heads *are* exactly the committed row
-//! versions at freeze time. Readers never traverse version chains;
-//! visibility is map membership, which keeps the snapshot read path
-//! byte-for-byte the same cost as an ordinary read.
+//! therefore a set of root pointers: rowid maps, secondary indexes and
+//! the frozen-table map are persistent path-copying B+trees
+//! ([`crate::pmap::PMap`]), so freezing a table clones a few roots, and
+//! the writer's next change copies only the root-to-leaf paths it
+//! touches out of whatever snapshots still share them. A frozen rowid
+//! map's entries *are* exactly the committed row versions at freeze
+//! time. Readers never traverse version chains; visibility is map
+//! membership, which keeps the snapshot read path byte-for-byte the same
+//! cost as an ordinary read. Dropping a snapshot frees only the nodes no
+//! newer version shares.
 //!
 //! Version chains still exist (newest-first, `begin`-stamped) because they
 //! are what makes writes cheap in the presence of live snapshots: a write
 //! pushes a fresh head above the old version instead of copying the row,
 //! and garbage collection is *refcount-driven* — a frozen map pins every
-//! version it can see with its own `Arc`, so any chain node whose
+//! version it can see through the leaf holding it (copying a shared leaf
+//! bumps each version's count), so any chain node whose
 //! refcount has returned to one is invisible to every reader and is
 //! spliced out in place by the next write to that row (see
 //! `table::trim_chain`). Versions older than the oldest live snapshot are
@@ -27,6 +32,7 @@
 
 use crate::db::{Database, TriggerDef, ViewDef};
 use crate::planner::FlattenPolicy;
+use crate::pmap::PMap;
 use crate::table::Table;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -199,14 +205,14 @@ impl Drop for SnapTicket {
 
 /// An immutable, shareable freeze of a whole database at one commit
 /// stamp: shallow copies of every table (rowid maps and secondary
-/// indexes shared by `Arc`), plus the catalog needed to plan and execute
-/// read-only statements.
+/// indexes sharing their roots), plus the catalog needed to plan and
+/// execute read-only statements.
 #[derive(Debug)]
 pub(crate) struct DbSnapshot {
     pub(crate) stamp: u64,
     pub(crate) catalog_gen: u64,
     pub(crate) flatten_policy: FlattenPolicy,
-    pub(crate) tables: Arc<BTreeMap<String, Arc<Table>>>,
+    pub(crate) tables: PMap<String, Arc<Table>>,
     pub(crate) views: Arc<BTreeMap<String, Arc<ViewDef>>>,
     pub(crate) triggers: Arc<BTreeMap<String, Arc<TriggerDef>>>,
     /// Keeps the snapshot registered for GC while any handle is alive.
@@ -218,7 +224,7 @@ impl DbSnapshot {
         stamp: u64,
         catalog_gen: u64,
         flatten_policy: FlattenPolicy,
-        tables: Arc<BTreeMap<String, Arc<Table>>>,
+        tables: PMap<String, Arc<Table>>,
         views: Arc<BTreeMap<String, Arc<ViewDef>>>,
         triggers: Arc<BTreeMap<String, Arc<TriggerDef>>>,
         ticket: SnapTicket,
@@ -269,9 +275,9 @@ impl ReadSnapshot {
 /// re-pointed (shallowly) at whatever snapshot is bound; its prepared-
 /// statement and plan caches persist across rebinds, so steady-state
 /// snapshot reads pay no re-parse or re-plan cost. Retargeting to a new
-/// snapshot of the *same* database costs O(#tables) `Arc` clones; the
-/// catalog (views/triggers) is only re-cloned when the snapshot's catalog
-/// generation actually changed.
+/// snapshot of the *same* database is O(1): tables resolve through the
+/// bound snapshot and the catalog is shared by `Arc`; cached plans are
+/// dropped only when the snapshot's catalog generation changed.
 ///
 /// A reader must only ever be bound to snapshots of one logical database
 /// (stamps from different databases are not comparable). One reader per

@@ -1,19 +1,18 @@
 //! Row storage for base tables.
 //!
-//! Every table is keyed by a 64-bit integer rowid held in a `BTreeMap`,
+//! Every table is keyed by a 64-bit integer rowid held in an ordered map,
 //! which doubles as the primary-key index. When a column is declared
 //! `INTEGER PRIMARY KEY` it aliases the rowid, exactly like SQLite; tables
 //! without one get a hidden rowid that auto-assigns on insert.
 //!
 //! Row payloads live in one of two places. Small tables keep their
-//! `Vec<Value>` rows resident, exactly as before. Once a table's
-//! (approximate) encoded size crosses the threshold of an attached
-//! [`HeapCfg`], its payloads migrate to the device-backed heap tier and
-//! are faulted through the block page cache on access — the rowid map and
-//! all secondary indexes stay resident, mirroring the VFS split between
-//! inline and spilled file data. Reads hand out `Cow` rows so the
-//! resident path stays zero-copy while the paged path decodes from a
-//! pinned cache frame.
+//! `Vec<Value>` rows resident. Once a table's (approximate) encoded size
+//! crosses the threshold of an attached [`HeapCfg`], its payloads migrate
+//! to the device-backed heap tier and are faulted through the block page
+//! cache on access — the rowid map and all secondary indexes stay
+//! resident, mirroring the VFS split between inline and spilled file
+//! data. Reads hand out `Cow` rows so the resident path stays zero-copy
+//! while the paged path decodes from a pinned cache frame.
 //!
 //! The COW proxy sets a *primary-key start* on delta tables so that rows a
 //! delegate inserts get ids from a large offset `N` and never collide with
@@ -21,31 +20,33 @@
 //!
 //! # Multiversion storage
 //!
-//! Resident rows are multiversioned: the rowid map is an
-//! `Arc<BTreeMap<i64, Arc<VerNode>>>` whose entries are short,
+//! Resident rows are multiversioned: the rowid map is a persistent
+//! [`PMap<i64, Arc<VerNode>>`](PMap) whose entries are short,
 //! newest-first per-row version chains stamped with the commit stamp that
-//! wrote them. [`Table::freeze`] shallow-copies the map `Arc` into an
-//! immutable snapshot table, so `Database::begin_read` is O(#tables) and
+//! wrote them, and every secondary index is a `PMap` too. Cloning a
+//! table clones map roots, so [`Table::freeze`] hands an immutable
+//! snapshot table to `Database::begin_read` in O(1) per table, and
 //! snapshot readers see exactly the committed heads at freeze time
-//! without ever walking a chain. Mutations privatize the map with
-//! `Arc::make_mut`, push a fresh head above the old version, and run the
-//! refcount-driven chain trim ([`trim_chain`]) — in the common
-//! no-snapshot case the chain collapses back to length one immediately.
+//! without ever walking a chain. A mutation copies only the root-to-leaf
+//! paths it touches out of whatever snapshots share them — O(log n)
+//! nodes, however many snapshots are live — then pushes a fresh head
+//! above the old version and runs the refcount-driven chain trim
+//! ([`trim_chain`]); in the common no-snapshot case nothing is copied
+//! and the chain collapses back to length one immediately.
 //!
-//! Cloning a table — transaction snapshots, COW delta setup — shares
-//! resident rows structurally the same way (copy-on-write at the next
-//! mutation); paged rows are always materialized because snapshots must
-//! not alias heap pages the live table keeps mutating.
+//! Transaction snapshots and COW delta setup share resident rows the same
+//! way; paged rows are always materialized because snapshots must not
+//! alias heap pages the live table keeps mutating.
 
 use crate::ast::ColumnDef;
 use crate::error::{SqlError, SqlResult};
 use crate::heap::{encoded_len, HeapCfg, PagedRows};
 use crate::index::SecondaryIndex;
 use crate::mvcc::MvccShared;
+use crate::pmap::PMap;
 use crate::value::Value;
 use parking_lot::Mutex;
 use std::borrow::Cow;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Schema of a base table.
@@ -176,13 +177,13 @@ fn trim_chain(head: &Arc<VerNode>, mvcc: &MvccShared) {
 /// modes so the spill decision and stats cost nothing extra.
 #[derive(Debug)]
 enum Rows {
-    Resident { map: Arc<BTreeMap<i64, Arc<VerNode>>>, bytes: usize },
+    Resident { map: PMap<i64, Arc<VerNode>>, bytes: usize },
     Paged(PagedRows),
 }
 
 impl Rows {
     fn resident() -> Self {
-        Rows::Resident { map: Arc::new(BTreeMap::new()), bytes: 0 }
+        Rows::Resident { map: PMap::new(), bytes: 0 }
     }
 
     fn len(&self) -> usize {
@@ -208,7 +209,7 @@ impl Rows {
 
     fn max_key(&self) -> Option<i64> {
         match self {
-            Rows::Resident { map, .. } => map.keys().next_back().copied(),
+            Rows::Resident { map, .. } => map.last_key().copied(),
             Rows::Paged(p) => p.max_key(),
         }
     }
@@ -234,16 +235,18 @@ impl Rows {
             Rows::Resident { map, bytes } => {
                 *bytes += encoded_len(&values);
                 let begin = mvcc.stamp() + 1;
-                let map = Arc::make_mut(map);
-                let next = map.remove(&id);
-                if let Some(prev) = &next {
+                let head = Arc::new(VerNode { begin, row: values, next: Mutex::new(None) });
+                // The path to `id` is copied out of any snapshot sharing
+                // it, so `prev` stays pinned exactly while some snapshot
+                // can still see it.
+                let prev = map.insert(id, Arc::clone(&head));
+                if let Some(prev) = &prev {
                     *bytes -= encoded_len(&prev.row);
                     debug_assert!(prev.begin <= begin, "version chains are newest-first");
                 }
-                let head = Arc::new(VerNode { begin, row: values, next: Mutex::new(next) });
+                *head.next.lock() = prev;
                 trim_chain(&head, mvcc);
                 mvcc.note_version(chain_len(&head));
-                map.insert(id, head);
             }
             Rows::Paged(p) => p.insert(id, &values),
         }
@@ -252,7 +255,7 @@ impl Rows {
     fn remove(&mut self, id: i64) -> Option<Vec<Value>> {
         match self {
             Rows::Resident { map, bytes } => {
-                let old = Arc::make_mut(map).remove(&id)?;
+                let old = map.remove(&id)?;
                 *bytes -= encoded_len(&old.row);
                 // The whole chain (head included) is reclaimed by `Arc`
                 // the moment the last snapshot referencing it drops.
@@ -268,9 +271,8 @@ impl Rows {
     fn clear(&mut self) {
         match self {
             Rows::Resident { map, bytes } => {
-                // Swap rather than clear in place: a snapshot may still
-                // share the old map.
-                *map = Arc::new(BTreeMap::new());
+                // Snapshots sharing the old root keep it.
+                map.clear();
                 *bytes = 0;
             }
             Rows::Paged(p) => p.clear(),
@@ -278,20 +280,19 @@ impl Rows {
     }
 
     /// A logically private copy. Resident rows share the version-chain
-    /// map structurally (`Arc`) and privatize copy-on-write at the next
-    /// mutation; paged rows are materialized, never aliased (snapshots
-    /// must not share heap pages with the live table).
+    /// map's root and copy only the paths later writes touch; paged rows
+    /// are materialized, never aliased (snapshots must not share heap
+    /// pages with the live table).
     fn clone_resident(&self) -> Rows {
         match self {
             Rows::Resident { map, bytes } => Rows::Resident { map: map.clone(), bytes: *bytes },
             Rows::Paged(p) => Rows::Resident {
-                map: Arc::new(
-                    p.iter()
-                        .map(|(id, row)| {
-                            (id, Arc::new(VerNode { begin: 0, row, next: Mutex::new(None) }))
-                        })
-                        .collect(),
-                ),
+                map: p
+                    .iter()
+                    .map(|(id, row)| {
+                        (id, Arc::new(VerNode { begin: 0, row, next: Mutex::new(None) }))
+                    })
+                    .collect(),
                 bytes: p.bytes(),
             },
         }
@@ -309,9 +310,9 @@ pub struct Table {
     /// Secondary indexes, maintained incrementally by every row mutation.
     /// Living inside the table means transaction snapshots (which clone
     /// tables) and `DROP TABLE` handle indexes with no extra bookkeeping.
-    /// `Arc`-shared so snapshot freezes are shallow; privatized
-    /// copy-on-write at the next index mutation.
-    indexes: Arc<Vec<SecondaryIndex>>,
+    /// Each index is a persistent map, so cloning the `Vec` shares every
+    /// index's nodes.
+    indexes: Vec<SecondaryIndex>,
     /// Spill target and threshold; `None` keeps the table resident
     /// forever.
     heap: Option<HeapCfg>,
@@ -333,7 +334,7 @@ impl Clone for Table {
             schema: self.schema.clone(),
             rows: self.rows.clone_resident(),
             pk_start: self.pk_start,
-            indexes: Arc::clone(&self.indexes),
+            indexes: self.indexes.clone(),
             heap: self.heap.clone(),
             mvcc: Arc::clone(&self.mvcc),
             ver: self.ver,
@@ -348,7 +349,7 @@ impl Table {
             schema,
             rows: Rows::resident(),
             pk_start: 1,
-            indexes: Arc::new(Vec::new()),
+            indexes: Vec::new(),
             heap: None,
             mvcc: Arc::default(),
             ver: 0,
@@ -377,7 +378,7 @@ impl Table {
     }
 
     /// An immutable shallow freeze for publication inside a read
-    /// snapshot: the row map and secondary indexes are shared by `Arc`,
+    /// snapshot: the row map and secondary indexes share their roots,
     /// and the heap config is detached (a frozen table never spills).
     /// `None` when the rows live on the heap tier — paged payloads fault
     /// through a shared page cache whose pins and evictions must not be
@@ -390,7 +391,7 @@ impl Table {
             schema: self.schema.clone(),
             rows: self.rows.clone_resident(),
             pk_start: self.pk_start,
-            indexes: Arc::clone(&self.indexes),
+            indexes: self.indexes.clone(),
             heap: None,
             mvcc: Arc::clone(&self.mvcc),
             ver: self.ver,
@@ -424,7 +425,7 @@ impl Table {
             return;
         }
         let mut paged = PagedRows::new(cfg.tier.clone());
-        for (id, node) in std::mem::take(Arc::make_mut(map)) {
+        for (&id, node) in map.iter() {
             paged.insert(id, &node.row);
         }
         self.rows = Rows::Paged(paged);
@@ -447,7 +448,7 @@ impl Table {
             ix.check_unique(&row[col], id)?;
             ix.insert_entry(&row, id);
         }
-        Arc::make_mut(&mut self.indexes).push(ix);
+        self.indexes.push(ix);
         Ok(())
     }
 
@@ -457,7 +458,7 @@ impl Table {
             return false;
         }
         self.touch();
-        Arc::make_mut(&mut self.indexes).retain(|ix| !ix.name().eq_ignore_ascii_case(name));
+        self.indexes.retain(|ix| !ix.name().eq_ignore_ascii_case(name));
         true
     }
 
@@ -473,7 +474,7 @@ impl Table {
 
     /// All secondary indexes on this table.
     pub fn indexes(&self) -> &[SecondaryIndex] {
-        self.indexes.as_slice()
+        &self.indexes
     }
 
     /// Length of the version chain currently kept for `rowid` (0 when the
@@ -570,13 +571,13 @@ impl Table {
         if !self.indexes.is_empty() {
             if let Some(old) = self.rows.get(rowid) {
                 let old = old.into_owned();
-                for ix in Arc::make_mut(&mut self.indexes) {
+                for ix in &mut self.indexes {
                     ix.remove_entry(&old, rowid);
                 }
             }
         }
         if !self.indexes.is_empty() {
-            for ix in Arc::make_mut(&mut self.indexes) {
+            for ix in &mut self.indexes {
                 ix.insert_entry(&values, rowid);
             }
         }
@@ -643,22 +644,24 @@ impl Table {
             self.rows.get(rowid).map(|r| r.into_owned())
         };
         if let Some(old) = &old {
-            for ix in Arc::make_mut(&mut self.indexes) {
+            for ix in &mut self.indexes {
                 ix.remove_entry(old, rowid);
             }
         }
-        let conflict =
-            self.indexes.iter().find_map(|ix| ix.check_unique(&values[ix.column()], new_rowid).err());
+        let conflict = self
+            .indexes
+            .iter()
+            .find_map(|ix| ix.check_unique(&values[ix.column()], new_rowid).err());
         if let Some(e) = conflict {
             if let Some(old) = &old {
-                for ix in Arc::make_mut(&mut self.indexes) {
+                for ix in &mut self.indexes {
                     ix.insert_entry(old, rowid);
                 }
             }
             return Err(e);
         }
         if !self.indexes.is_empty() {
-            for ix in Arc::make_mut(&mut self.indexes) {
+            for ix in &mut self.indexes {
                 ix.insert_entry(&values, new_rowid);
             }
         }
@@ -676,7 +679,7 @@ impl Table {
         match self.rows.remove(rowid) {
             Some(old) => {
                 if !self.indexes.is_empty() {
-                    for ix in Arc::make_mut(&mut self.indexes) {
+                    for ix in &mut self.indexes {
                         ix.remove_entry(&old, rowid);
                     }
                 }
@@ -691,7 +694,7 @@ impl Table {
         self.touch();
         self.rows.clear();
         if !self.indexes.is_empty() {
-            for ix in Arc::make_mut(&mut self.indexes) {
+            for ix in &mut self.indexes {
                 ix.clear();
             }
         }

@@ -794,10 +794,8 @@ impl Store {
             if existing.is_some() {
                 return Err(VfsError::AlreadyExists);
             }
-            let child = locked.alloc_in(
-                alloc_shard,
-                Inode::Dir { entries: BTreeMap::new(), owner, mode, mtime },
-            );
+            let child = locked
+                .alloc_in(alloc_shard, Inode::Dir { entries: BTreeMap::new(), owner, mode, mtime });
             locked.link(parent, name, child, mtime);
             self.bump_path(path);
             self.emit(VfsRecord::Mkdir {
@@ -907,8 +905,8 @@ impl Store {
                 id
             } else {
                 let new_fd = fd_store(&self.paged, self.spill_threshold, data);
-                let id = locked
-                    .alloc_in(alloc_shard, Inode::File { data: new_fd, owner, mode, mtime });
+                let id =
+                    locked.alloc_in(alloc_shard, Inode::File { data: new_fd, owner, mode, mtime });
                 locked.link(parent, name, id, mtime);
                 // Creation (not overwrite) makes a new path visible.
                 self.bump_path(path);
@@ -1148,8 +1146,7 @@ impl Store {
             // The moved inode's shard is in the lock set so its type (file
             // vs directory, for the visibility bump) can be read without
             // acquiring anything after the set is taken.
-            let mut shards =
-                vec![shard_of(from_parent), shard_of(to_parent), shard_of(moved)];
+            let mut shards = vec![shard_of(from_parent), shard_of(to_parent), shard_of(moved)];
             if let Some(r) = replaced {
                 shards.push(shard_of(r));
             }
@@ -2036,10 +2033,8 @@ mod tests {
                     continue;
                 }
                 let (pa, pb) = (vpath(&format!("/t{i}")), vpath(&format!("/t{j}")));
-                let (sa, sb) = (
-                    Store::vis_branch_shard(&pa).unwrap(),
-                    Store::vis_branch_shard(&pb).unwrap(),
-                );
+                let (sa, sb) =
+                    (Store::vis_branch_shard(&pa).unwrap(), Store::vis_branch_shard(&pb).unwrap());
                 let deep = Store::vis_branch_shard(&pa.join("f").unwrap()).unwrap();
                 if sa != sb && deep != sb {
                     pair = Some((pa, pb, sa, sb));
@@ -2109,5 +2104,3 @@ mod tests {
         }
     }
 }
-
-
